@@ -12,8 +12,9 @@
 //!    ([`hss_partition::exchange_and_merge_flat_with`]).
 //!
 //! Either way the output is **bitwise identical** to the in-memory sorter:
-//! run formation sorts with the same `LocalSortAlgo`, and both merges use
-//! the same loser tree with the same lower-run-index tie-break.
+//! run formation sorts with the same `LocalSortAlgo`, and every merge —
+//! the disk loser tree and the in-memory two-way merge cascade — breaks
+//! ties by the lower run index.
 //!
 //! # Materialized vs. pipelined
 //!
@@ -768,6 +769,31 @@ mod tests {
             let mut m = Machine::flat(p);
             let (outcome, _) = HssSorter::new(cfg).sort_out_of_core(&mut m, input.clone());
             assert_eq!(outcome.data, reference.data, "depth {depth}");
+        }
+    }
+
+    #[test]
+    fn pipelined_io_wait_fits_inside_the_reported_wall() {
+        // The pipelined report adds splitter-probe and drain io-wait on
+        // top of run formation's, so its wall time must span all of them.
+        let p = 4;
+        let n = 800;
+        let input = KeyDistribution::Uniform.generate_per_rank(p, n, 5);
+        for io_mode in [IoMode::Synchronous, IoMode::Overlapped] {
+            let policy = forcing_policy::<u64>(n, 4, &run_dir())
+                .with_fan_in(2)
+                .with_io_mode(io_mode)
+                .with_pipelined();
+            let cfg = HssConfig::default().with_ext_sort(policy);
+            let (_, ext) =
+                HssSorter::new(cfg).sort_out_of_core(&mut Machine::flat(p), input.clone());
+            assert!(
+                ext.io_wait_seconds > 0.0,
+                "{}: spilled ranks must wait on disk",
+                io_mode.name()
+            );
+            assert!(ext.io_wait_seconds <= ext.wall_seconds, "{}: {ext:?}", io_mode.name());
+            assert!((0.0..=1.0).contains(&ext.io_wait_fraction()), "{}", io_mode.name());
         }
     }
 

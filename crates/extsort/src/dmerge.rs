@@ -590,19 +590,22 @@ pub struct MergeCursor<T: PlainRecord + Ord> {
     report: ExtSortReport,
     emitted: u64,
     total: u64,
+    /// When the sort this cursor drains began (run formation's start).
+    started: Instant,
     _guard: crate::runs::RunDirGuard,
 }
 
 impl<T: PlainRecord + Ord> MergeCursor<T> {
     /// Open a cursor over `runs` (already reduced to ≤ `cfg.fan_in`),
     /// taking ownership of the scratch directory guard and the report that
-    /// accumulated run formation + reduction passes.  The drain itself
-    /// counts as the final merge pass.
+    /// accumulated run formation + reduction passes since `started`.  The
+    /// drain itself counts as the final merge pass.
     pub(crate) fn open(
         runs: Vec<RunFile>,
         cfg: &ExtSortConfig,
         guard: crate::runs::RunDirGuard,
         mut report: ExtSortReport,
+        started: Instant,
     ) -> io::Result<Self> {
         debug_assert!(runs.len() <= cfg.fan_in, "reduce_to_fan_in must run first");
         report.merge_passes += 1;
@@ -658,6 +661,7 @@ impl<T: PlainRecord + Ord> MergeCursor<T> {
             report,
             emitted: 0,
             total,
+            started,
             _guard: guard,
         })
     }
@@ -702,6 +706,10 @@ impl<T: PlainRecord + Ord> MergeCursor<T> {
     /// prefetch thread, and surface the first I/O error (a failed refill
     /// makes a source read as exhausted, so the error — not a silently
     /// short stream — is the caller's signal).
+    ///
+    /// The report's `wall_seconds` spans the whole pipelined sort, from
+    /// the start of run formation to this call, so it covers every io-wait
+    /// the report (or a caller adding its own run-file probes) counts.
     pub fn finish(mut self) -> io::Result<ExtSortReport> {
         let mut report = std::mem::take(&mut self.report);
         report.elements = self.emitted;
@@ -729,6 +737,7 @@ impl<T: PlainRecord + Ord> MergeCursor<T> {
                 first_err.get_or_insert(e);
             }
         }
+        report.wall_seconds = self.started.elapsed().as_secs_f64();
         match first_err {
             Some(e) => Err(e),
             None => Ok(report),

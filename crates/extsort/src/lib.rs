@@ -146,13 +146,22 @@ impl ExternalSorter {
         T: PlainRecord + RadixSortable,
         I: IntoIterator<Item = T>,
     {
+        let started = Instant::now();
         let mut report = ExtSortReport::default();
         let guard = RunDirGuard::new(&self.cfg.run_dir)?;
         let runs = form_runs(input.into_iter(), &self.cfg, guard.path(), &mut report)?;
         report.runs_formed = runs.len() as u64;
         let total = runs.iter().map(|r| r.elems).sum();
         report.elements = total;
-        Ok(SpilledRuns { runs, guard, cfg: self.cfg.clone(), total, report, _marker: PhantomData })
+        Ok(SpilledRuns {
+            runs,
+            guard,
+            cfg: self.cfg.clone(),
+            total,
+            report,
+            started,
+            _marker: PhantomData,
+        })
     }
 
     /// Merge already-sorted in-memory runs through disk: each run is
@@ -217,6 +226,9 @@ pub struct SpilledRuns<T: PlainRecord> {
     cfg: ExtSortConfig,
     total: u64,
     report: ExtSortReport,
+    /// When run formation began: the start of the pipelined sort, whose
+    /// end is [`MergeCursor::finish`].
+    started: Instant,
     _marker: PhantomData<T>,
 }
 
@@ -232,7 +244,9 @@ impl<T: PlainRecord> SpilledRuns<T> {
     }
 
     /// I/O accounting so far (run formation, plus any reduction passes
-    /// once [`into_cursor`](Self::into_cursor) has run).
+    /// once [`into_cursor`](Self::into_cursor) has run).  Its
+    /// `wall_seconds` stays 0 until [`MergeCursor::finish`] closes the
+    /// sort.
     pub fn report(&self) -> &ExtSortReport {
         &self.report
     }
@@ -275,7 +289,7 @@ impl<T: PlainRecord> SpilledRuns<T> {
             self.guard.path(),
             &mut self.report,
         )?;
-        MergeCursor::open(runs, &self.cfg, self.guard, self.report)
+        MergeCursor::open(runs, &self.cfg, self.guard, self.report, self.started)
     }
 }
 

@@ -45,12 +45,18 @@ impl ExtSortReport {
     }
 
     /// Fraction of wall-clock spent blocked on I/O (0 when wall is 0).
+    /// Every io-wait a report counts happens inside the wall time it
+    /// records, so the fraction lies in `[0, 1]`.
     pub fn io_wait_fraction(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.io_wait_seconds / self.wall_seconds
-        } else {
-            0.0
-        }
+        let fraction =
+            if self.wall_seconds > 0.0 { self.io_wait_seconds / self.wall_seconds } else { 0.0 };
+        debug_assert!(
+            (0.0..=1.0).contains(&fraction),
+            "io-wait {} s exceeds wall {} s",
+            self.io_wait_seconds,
+            self.wall_seconds
+        );
+        fraction
     }
 
     /// Fold another report into this one (per-rank aggregation): counters

@@ -8,7 +8,8 @@
 //! * [`ExchangeEngine::Flat`] (the default) — zero-copy bucketize into an
 //!   [`hss_sim::ExchangePlan`] over the sorted data itself,
 //!   one contiguous buffer moved per rank (`MPI_Alltoallv` style), and a
-//!   slice-based loser-tree merge reading the receive buffer in place;
+//!   k-way merge ([`crate::merge::kway_merge_slices`]) reading the receive
+//!   buffer in place;
 //! * [`ExchangeEngine::Nested`] — the historical `Vec<Vec<Vec<T>>>` send
 //!   matrix (`p²` allocations and a full extra copy), retained as the
 //!   differential-testing oracle and for the `exchange_scaling` benchmark.
@@ -34,7 +35,7 @@ pub enum ExchangeMode {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum ExchangeEngine {
     /// Flat counts/displacements buffers (`MPI_Alltoallv` style) plus a
-    /// loser-tree merge over in-place slices.
+    /// k-way merge over in-place slices.
     #[default]
     Flat,
     /// The nested `Vec<Vec<Vec<T>>>` send matrix plus a heap-order k-way
@@ -111,9 +112,10 @@ fn exchange_and_merge_flat<T: Keyed + Ord>(
 /// included) and returns the merged output plus the [`Work`] to charge.
 ///
 /// The default merger (used by [`exchange_and_merge`]) is the in-memory
-/// loser tree; the out-of-core tier substitutes one that spills oversized
-/// receive sets to disk runs and merges them under a memory cap, adding the
-/// disk traffic to the charged `Work`.  A custom merger must preserve the
+/// [`crate::merge::kway_merge_slices`] (a cascade of two-way merges); the
+/// out-of-core tier substitutes one that spills oversized receive sets to
+/// disk runs and merges them under a memory cap, adding the disk traffic to
+/// the charged `Work`.  A custom merger must preserve the
 /// in-memory merge's order (stable, ties by lower run index) if callers
 /// rely on bitwise-identical output.
 pub fn exchange_and_merge_flat_with<T, F>(

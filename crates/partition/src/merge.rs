@@ -6,159 +6,120 @@
 //! `O((N/p) log p)` comparisons, the term that appears in every row of
 //! Table 5.1.
 //!
-//! The merge is a slice-based *loser tree* (tournament tree): run heads are
-//! read in place from the received buffer, each output element costs one
-//! leaf-to-root replay of `⌈log₂ k⌉` comparisons, and — unlike the previous
-//! `BinaryHeap<Reverse<(T, usize)>>` implementation — no element is ever
-//! moved through an intermediate heap.  Ties are broken by the lower run
-//! index, so the output order is identical to the heap-based merge (and
-//! stable with respect to the source-rank order of the runs).
+//! [`kway_merge_slices`] runs a balanced *cascade of two-way merges*.  The
+//! first level merges adjacent non-empty input slices straight out of the
+//! receive buffer; every later level merges adjacent groups of the previous
+//! one, ping-ponging between two scratch buffers, so `k` runs take
+//! `⌈log₂ k⌉` streaming passes of at most `n` comparisons each.  Each
+//! two-way step is branchless — the comparison selects which input to copy
+//! and which cursor to advance — so the inner loop carries no unpredictable
+//! branch, and each pass streams linearly through memory.
+//!
+//! The left group of every two-way merge wins ties, so equal items come out
+//! in run-index order: the output is stable with respect to the source-rank
+//! order of the runs, and bitwise identical to the [`SourceLoserTree`] the
+//! out-of-core tier streams its disk runs through.
+
+use std::mem::MaybeUninit;
 
 use hss_keygen::Keyed;
 
-/// How many elements ahead of a run's read head the merge prefetches.  One
-/// cache line of u64s is 8 elements; the winner run advances by one element
-/// per emission, so a distance of 8 keeps roughly one line in flight per
-/// active run without thrashing small runs.
-const PREFETCH_DISTANCE: usize = 8;
-
-/// Hint the CPU to pull `slice[idx]` into cache (L1, temporal).  A no-op
-/// when the index is out of range and on architectures without a stable
-/// prefetch intrinsic.  Purely a performance hint: it never reads the
-/// element, so results are unaffected.
-#[inline(always)]
-fn prefetch_read<T>(slice: &[T], idx: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(r) = slice.get(idx) {
-        // SAFETY: `r` is a valid reference; _mm_prefetch has no side
-        // effects beyond the cache hint and tolerates any address.
-        unsafe {
-            core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                r as *const T as *const i8,
-            );
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (slice, idx);
-    }
-}
-
-/// Merge already-sorted runs, given as slices, into one sorted vector using
-/// a loser tree.  Equal elements are emitted in run-index order.
+/// Merge already-sorted runs, given as slices, into one sorted vector.
+/// Equal elements are emitted in run-index order (see the module docs).
 pub fn kway_merge_slices<T: Ord + Clone>(runs: &[&[T]]) -> Vec<T> {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut out = Vec::with_capacity(total);
     // Pre-sized at the run count: `filter` erases the size hint, so a bare
     // `collect` here would grow-by-push on the merge hot path.
     let mut nonempty: Vec<&[T]> = Vec::with_capacity(runs.len());
     nonempty.extend(runs.iter().copied().filter(|r| !r.is_empty()));
+    // Filtering empty runs first cannot change the tie-break order: empty
+    // runs emit nothing, and the survivors keep their relative order.
     match nonempty.len() {
-        0 => return out,
-        1 => {
-            out.extend_from_slice(nonempty[0]);
-            return out;
-        }
-        _ => {}
+        0 => Vec::new(),
+        1 => nonempty[0].to_vec(),
+        _ => merge_cascade(&nonempty),
     }
-    // Note: filtering empty runs first keeps the tree small; it cannot
-    // change the tie-break order because empty runs emit nothing.
-    LoserTree::new(&nonempty).drain_into(&mut out);
-    out
 }
 
-/// A loser tree over `k` runs, padded to a power of two with virtual
-/// always-exhausted runs.  `tree[node]` holds the run index that *lost* the
-/// comparison at that internal node; the overall winner is kept outside the
-/// tree and replayed along its leaf-to-root path after each emission.
-struct LoserTree<'a, T> {
-    runs: &'a [&'a [T]],
-    pos: Vec<usize>,
-    /// Internal nodes `1..leaves`; `usize::MAX` marks "no contender yet"
-    /// during construction (never observed afterwards).
-    tree: Vec<usize>,
-    leaves: usize,
-    winner: usize,
+/// Balanced cascade of stable two-way merges over `runs` (at least two,
+/// all non-empty).  Level one merges input pairs into a scratch buffer;
+/// each later level merges adjacent groups of the previous level into the
+/// other buffer, until one group remains.
+fn merge_cascade<T: Ord + Clone>(runs: &[&[T]]) -> Vec<T> {
+    let mut src = Vec::new();
+    let mut ends = merge_pairs(runs, &mut src);
+    // Allocated on first use: with two runs, level one is the result.
+    let mut dst = Vec::new();
+    while ends.len() > 1 {
+        let groups: Vec<&[T]> = ends
+            .iter()
+            .scan(0, |start, &end| {
+                let group = &src[*start..end];
+                *start = end;
+                Some(group)
+            })
+            .collect();
+        dst.clear();
+        ends = merge_pairs(&groups, &mut dst);
+        std::mem::swap(&mut src, &mut dst);
+    }
+    src
 }
 
-impl<'a, T: Ord> LoserTree<'a, T> {
-    fn new(runs: &'a [&'a [T]]) -> Self {
-        let leaves = runs.len().next_power_of_two();
-        let mut lt = Self {
-            runs,
-            pos: vec![0; runs.len()],
-            tree: vec![usize::MAX; leaves],
-            leaves,
-            winner: 0,
-        };
-        lt.winner = lt.build(1);
-        lt
-    }
-
-    /// The current head of run `i` (`None` once exhausted; virtual padding
-    /// runs are always exhausted).
-    fn head(&self, i: usize) -> Option<&T> {
-        self.runs.get(i).and_then(|r| r.get(self.pos[i]))
-    }
-
-    /// Whether run `a` beats run `b` (its head comes out first).  Exhausted
-    /// runs lose to live ones; ties go to the lower run index.
-    fn beats(&self, a: usize, b: usize) -> bool {
-        match (self.head(a), self.head(b)) {
-            (Some(x), Some(y)) => match x.cmp(y) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => a < b,
-            },
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => a < b,
+/// One cascade level: merge adjacent pairs of `groups` into the empty
+/// `out` (a trailing odd group is copied as is), returning the exclusive
+/// end offset of each merged group in `out`.
+fn merge_pairs<T: Ord + Clone>(groups: &[&[T]], out: &mut Vec<T>) -> Vec<usize> {
+    assert!(out.is_empty(), "a level writes a fresh buffer");
+    let total: usize = groups.iter().map(|g| g.len()).sum();
+    out.reserve_exact(total);
+    let spare = &mut out.spare_capacity_mut()[..total];
+    let mut ends = Vec::with_capacity(groups.len().div_ceil(2));
+    let mut start = 0;
+    for pair in groups.chunks(2) {
+        let end = start + pair.iter().map(|g| g.len()).sum::<usize>();
+        match pair {
+            [a, b] => merge_two(a, b, &mut spare[start..end]),
+            [a] => clone_into(a, &mut spare[start..end]),
+            _ => unreachable!("chunks(2) yields one or two groups"),
         }
+        ends.push(end);
+        start = end;
     }
+    // SAFETY: the pairs' output ranges tile `0..total` exactly (each
+    // range is as long as its inputs together), and `merge_two` /
+    // `clone_into` initialise every slot of the range they are given.
+    unsafe { out.set_len(total) };
+    ends
+}
 
-    /// Recursively play the initial tournament below `node`, storing losers
-    /// and returning the subtree winner.
-    fn build(&mut self, node: usize) -> usize {
-        if node >= self.leaves {
-            return node - self.leaves;
-        }
-        let left = self.build(2 * node);
-        let right = self.build(2 * node + 1);
-        if self.beats(left, right) {
-            self.tree[node] = right;
-            left
-        } else {
-            self.tree[node] = left;
-            right
-        }
+/// Stable branchless two-way merge of the sorted slices `a` and `b` into
+/// `out` (`out.len() == a.len() + b.len()`), initialising every slot.  On
+/// equal heads `a` wins, so `a` must hold the lower-indexed runs.
+#[inline]
+fn merge_two<T: Ord + Clone>(a: &[T], b: &[T], out: &mut [MaybeUninit<T>]) {
+    assert_eq!(out.len(), a.len() + b.len(), "merge output must fit both inputs exactly");
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        // One comparison picks the source; the cursors advance by the
+        // comparison's 0/1 value rather than by a branch on it.
+        let take_b = b[j] < a[i];
+        out[i + j].write(if take_b { &b[j] } else { &a[i] }.clone());
+        i += usize::from(!take_b);
+        j += usize::from(take_b);
     }
+    // At most one input has a tail left; it follows the merged prefix.
+    let (rest_a, rest_b) = (&a[i..], &b[j..]);
+    let (out_a, out_b) = out[i + j..].split_at_mut(rest_a.len());
+    clone_into(rest_a, out_a);
+    clone_into(rest_b, out_b);
+}
 
-    /// Emit every element in sorted order into `out`.
-    fn drain_into(&mut self, out: &mut Vec<T>)
-    where
-        T: Clone,
-    {
-        while let Some(item) = self.head(self.winner) {
-            out.push(item.clone());
-            self.pos[self.winner] += 1;
-            // The winner's run is the only one whose read head advanced:
-            // hint its upcoming element into cache while the replay below
-            // (log k dependent comparisons) hides the fetch latency.
-            prefetch_read(self.runs[self.winner], self.pos[self.winner] + PREFETCH_DISTANCE);
-            // Replay the winner's path: at each ancestor, the stored loser
-            // competes against the ascending contender.
-            let mut contender = self.winner;
-            let mut node = (self.winner + self.leaves) / 2;
-            while node >= 1 {
-                let loser = self.tree[node];
-                if self.beats(loser, contender) {
-                    self.tree[node] = contender;
-                    contender = loser;
-                }
-                node /= 2;
-            }
-            self.winner = contender;
-        }
+/// Clone `src` into the equally long `out`, initialising every slot.
+#[inline]
+fn clone_into<T: Clone>(src: &[T], out: &mut [MaybeUninit<T>]) {
+    assert_eq!(out.len(), src.len(), "clone destination must match its source");
+    for (slot, x) in out.iter_mut().zip(src) {
+        slot.write(x.clone());
     }
 }
 
@@ -180,7 +141,7 @@ pub trait RunSource {
 }
 
 /// [`RunSource`] view of an in-memory sorted slice — the adapter that lets
-/// the generic tree be differentially tested against the slice tree, and
+/// the generic tree be differentially tested against [`kway_merge_slices`], and
 /// the degenerate "run already in memory" case of the external merge.
 pub struct SliceSource<'a, T> {
     slice: &'a [T],
@@ -210,12 +171,12 @@ impl<T: Ord + Clone> RunSource for SliceSource<'_, T> {
     }
 }
 
-/// A loser tree over generic [`RunSource`]s — the same tournament structure
-/// and tie-break rule (equal heads emit in source-index order) as the
-/// slice-based tree above, but pulling from sources whose backing storage
-/// may be a bounded disk window.  Emission order is therefore bitwise
-/// identical to [`kway_merge_slices`] over the same runs, which is what
-/// makes the external merge's output provably equal to the in-memory path.
+/// A loser tree over generic [`RunSource`]s, pulling from sources whose
+/// backing storage may be a bounded disk window.  Equal heads emit in
+/// source-index order — the tie-break rule of [`kway_merge_slices`] — so the
+/// emission order is bitwise identical to the in-memory merge over the same
+/// runs, which is what makes the external merge's output provably equal to
+/// the in-memory path.
 pub struct SourceLoserTree<S: RunSource> {
     sources: Vec<S>,
     /// Internal nodes `1..leaves`; `usize::MAX` marks "no contender yet"
@@ -239,8 +200,8 @@ impl<S: RunSource> SourceLoserTree<S> {
         self.sources.get(i).and_then(|s| s.peek())
     }
 
-    /// Whether source `a` beats source `b`: same rule as the slice tree —
-    /// exhausted sources lose to live ones, ties go to the lower index.
+    /// Whether source `a` beats source `b`: exhausted sources lose to live
+    /// ones, ties go to the lower index.
     fn beats(&self, a: usize, b: usize) -> bool {
         match (self.head(a), self.head(b)) {
             (Some(x), Some(y)) => match x.cmp(y) {
@@ -274,8 +235,7 @@ impl<S: RunSource> SourceLoserTree<S> {
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<S::Item> {
         // Popping may refill the winner's window from disk, so the replay
-        // below already sees the winner's *next* head — exactly like the
-        // slice tree's `pos` advance.  (`get_mut` also covers the
+        // below already sees the winner's *next* head.  (`get_mut` also covers the
         // zero-source tree, whose virtual winner has no backing source.)
         let item = self.sources.get_mut(self.winner)?.pop()?;
         let mut contender = self.winner;
@@ -366,8 +326,8 @@ pub fn drain_source_rest<S: RunSource>(src: &mut S, out: &mut Vec<S::Item>) -> u
     out.len() - before
 }
 
-/// Merge already-sorted runs into one sorted vector (loser-tree k-way
-/// merge over the runs' slices).
+/// Merge already-sorted runs into one sorted vector ([`kway_merge_slices`]
+/// over the runs' slices).
 pub fn kway_merge<T: Keyed + Ord>(runs: Vec<Vec<T>>) -> Vec<T> {
     let slices: Vec<&[T]> = runs.iter().map(|r| r.as_slice()).collect();
     kway_merge_slices(&slices)
@@ -475,6 +435,22 @@ mod tests {
     }
 
     #[test]
+    fn source_tree_ties_break_by_source_index() {
+        use hss_keygen::Record;
+        // Duplicate keys across sources: source 0's record must come first,
+        // matching the in-memory merge's run-index tie-break.
+        let a = [Record { key: 5, payload: 0 }];
+        let b = [Record { key: 5, payload: 1 }, Record { key: 7, payload: 2 }];
+        let mut tree =
+            SourceLoserTree::new(vec![SliceSource::new(&a[..]), SliceSource::new(&b[..])]);
+        assert_eq!(tree.next().unwrap().payload, 0);
+        assert_eq!(tree.next().unwrap().payload, 1);
+        assert_eq!(tree.next().unwrap().payload, 2);
+        assert!(tree.next().is_none());
+        assert!(tree.next().is_none());
+    }
+
+    #[test]
     fn loser_tree_matches_oracle_on_many_shapes() {
         // Deterministic pseudo-random runs of irregular lengths, including
         // empty ones and non-power-of-two run counts.
@@ -518,26 +494,148 @@ mod tests {
         }
     }
 
+    /// A test item whose `Ord` (and `Eq`) look at `key` only, so equal keys
+    /// from different runs are tied for the merge yet stay tellable apart
+    /// by `tag`: the merged tag sequence proves the tie-break order.  `PAD`
+    /// bytes of payload set the item's width.
+    #[derive(Debug, Clone, Copy)]
+    struct Tagged<const PAD: usize> {
+        key: u64,
+        tag: u32,
+        _pad: [u8; PAD],
+    }
+
+    impl<const PAD: usize> Tagged<PAD> {
+        fn new(key: u64, tag: u32) -> Self {
+            Self { key, tag, _pad: [0xA5; PAD] }
+        }
+    }
+
+    impl<const PAD: usize> PartialEq for Tagged<PAD> {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+
+    impl<const PAD: usize> Eq for Tagged<PAD> {}
+
+    impl<const PAD: usize> PartialOrd for Tagged<PAD> {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<const PAD: usize> Ord for Tagged<PAD> {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    impl<const PAD: usize> Keyed for Tagged<PAD> {
+        type K = u64;
+        fn key(&self) -> u64 {
+            self.key
+        }
+    }
+
+    /// Sorted runs of `(key, tag)` pairs.
+    type TaggedRuns = Vec<Vec<(u64, u32)>>;
+
+    /// The key of element `j` of run `i` in one run shape.
+    type KeyFn = fn(usize, usize) -> u64;
+
+    /// Every run shape the differential tests cover, as `(key, tag)` runs
+    /// with tags unique across the whole input: for each `k`, mixed-length
+    /// runs over a few distinct keys (every third run empty, `u64::MAX`
+    /// sprinkled in), all-equal runs, and runs made mostly of `u64::MAX`.
+    fn run_shapes() -> Vec<(String, TaggedRuns)> {
+        let makers: [(&str, KeyFn); 3] = [
+            ("mixed", |i, j| match (i * 31 + j * 17) % 13 {
+                0 => u64::MAX,
+                x => x as u64,
+            }),
+            ("all-equal", |_, _| 7),
+            ("max", |i, j| if (i + j) % 5 == 0 { 0 } else { u64::MAX }),
+        ];
+        let len = |i: usize| if i % 3 == 1 { 0 } else { (i * 7 + 3) % 19 };
+        let mut shapes = Vec::new();
+        for k in [0usize, 1, 2, 3, 5, 8, 13, 64, 65, 256] {
+            for (name, key) in makers {
+                let mut tag = 0u32;
+                let runs = (0..k)
+                    .map(|i| {
+                        let mut keys: Vec<u64> = (0..len(i)).map(|j| key(i, j)).collect();
+                        keys.sort_unstable();
+                        keys.into_iter()
+                            .map(|key| {
+                                tag += 1;
+                                (key, tag)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                shapes.push((format!("{name}, k = {k}"), runs));
+            }
+        }
+        shapes
+    }
+
+    /// `kway_merge_slices` against the stable concatenate-and-sort oracle
+    /// and against `SourceLoserTree` over `SliceSource`s, compared by
+    /// `(key, tag)` so the tie-break order is checked, not just the keys.
+    fn check_merge_against_oracles<const PAD: usize>() {
+        let view = |v: &[Tagged<PAD>]| v.iter().map(|x| (x.key, x.tag)).collect::<Vec<_>>();
+        for (shape, pairs) in run_shapes() {
+            let runs: Vec<Vec<Tagged<PAD>>> = pairs
+                .iter()
+                .map(|r| r.iter().map(|&(key, tag)| Tagged::new(key, tag)).collect())
+                .collect();
+            let slices: Vec<&[Tagged<PAD>]> = runs.iter().map(|r| r.as_slice()).collect();
+            let got = view(&kway_merge_slices(&slices));
+            assert_eq!(got, view(&concat_sort_merge(runs.clone())), "{shape}");
+            let mut tree =
+                SourceLoserTree::new(slices.iter().map(|s| SliceSource::new(s)).collect());
+            let mut streamed = Vec::new();
+            while let Some(x) = tree.next() {
+                streamed.push(x);
+            }
+            assert_eq!(got, view(&streamed), "{shape}");
+        }
+    }
+
     #[test]
-    fn source_tree_ties_break_by_source_index() {
-        use hss_keygen::Record;
-        // Duplicate keys across sources: source 0's record must come first,
-        // matching the slice tree's run-index tie-break.
-        let a = [Record { key: 5, payload: 0 }];
-        let b = [Record { key: 5, payload: 1 }, Record { key: 7, payload: 2 }];
-        let mut tree =
-            SourceLoserTree::new(vec![SliceSource::new(&a[..]), SliceSource::new(&b[..])]);
-        assert_eq!(tree.next().unwrap().payload, 0);
-        assert_eq!(tree.next().unwrap().payload, 1);
-        assert_eq!(tree.next().unwrap().payload, 2);
-        assert!(tree.next().is_none());
-        assert!(tree.next().is_none());
+    fn narrow_merge_matches_oracles_and_breaks_ties_by_run_index() {
+        assert!(std::mem::size_of::<Tagged<0>>() <= hss_lsort::WIDE_ITEM_BYTES);
+        check_merge_against_oracles::<0>();
+    }
+
+    #[test]
+    fn wide_merge_matches_oracles_and_breaks_ties_by_run_index() {
+        // As wide as the local sort's wide-item path: the merge must not
+        // depend on the item's size.
+        assert!(std::mem::size_of::<Tagged<48>>() > hss_lsort::WIDE_ITEM_BYTES);
+        check_merge_against_oracles::<48>();
+    }
+
+    #[test]
+    fn u64_merge_matches_oracles_on_every_shape() {
+        for (shape, pairs) in run_shapes() {
+            let runs: Vec<Vec<u64>> =
+                pairs.iter().map(|r| r.iter().map(|&(key, _)| key).collect()).collect();
+            let slices: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
+            let got = kway_merge_slices(&slices);
+            assert_eq!(got, concat_sort_merge(runs.clone()), "{shape}");
+            let mut tree =
+                SourceLoserTree::new(slices.iter().map(|s| SliceSource::new(s)).collect());
+            assert!(got.iter().all(|x| tree.next().as_ref() == Some(x)), "{shape}");
+            assert!(tree.next().is_none(), "{shape}");
+        }
     }
 
     #[test]
     fn merging_runs_of_a_flat_plan_via_slices() {
         // The consumer-side pattern for a FlatRecv buffer: slice the runs
-        // out through the plan and loser-tree merge them.
+        // out through the plan and k-way merge them.
         let data: Vec<u64> = vec![1, 4, 7, 2, 5, 8, 0, 3, 6, 9];
         let plan = ExchangePlan::from_counts(vec![3, 3, 4]);
         let runs: Vec<&[u64]> = plan.runs(&data).collect();

@@ -218,7 +218,9 @@ impl CostModel {
     }
 
     /// Compute time of merging `n` total keys arriving in `pieces` sorted
-    /// runs: `n log2 pieces` comparisons.
+    /// runs: `n ⌈log₂ pieces⌉` comparisons.  The in-memory two-way merge
+    /// cascade runs `⌈log₂ pieces⌉` levels of at most `n` comparisons each,
+    /// and the disk loser tree does `⌈log₂ pieces⌉` per element.
     pub fn merge_ops(n: u64, pieces: u64) -> u64 {
         if n == 0 || pieces <= 1 {
             return n;

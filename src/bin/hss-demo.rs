@@ -435,6 +435,7 @@ fn main() {
     println!("sync model       : {}", report.sync_model);
     println!("local sort       : {}", report.local_sort);
     println!("local sort wall  : {:.3} s", report.metrics.phase(Phase::LocalSort).wall_seconds);
+    println!("merge wall       : {:.3} s", report.metrics.phase(Phase::Merge).wall_seconds);
     println!("simulated time   : {:.6} s", report.simulated_seconds());
     println!("simulated makespan: {:.6} s", report.makespan_seconds);
     println!("host wall time   : {wall:.3} s");
@@ -445,6 +446,16 @@ fn main() {
         println!("sample keys      : {}", sp.total_sample_size);
     }
     println!("messages         : {}", report.metrics.total_messages());
+    if report.splitters.as_ref().is_some_and(|sp| !sp.all_finalized) {
+        println!("warning: splitter rounds hit their cap before every splitter was finalized");
+    }
+    if !report.satisfies(args.epsilon) {
+        println!(
+            "warning: load imbalance {:.4} exceeds the 1+ε = {:.4} bound",
+            report.imbalance(),
+            1.0 + args.epsilon
+        );
+    }
     if let Some(ext) = &ext_report {
         println!(
             "\nout-of-core tier ({} I/O, cap {} bytes/rank):",
